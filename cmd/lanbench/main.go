@@ -86,8 +86,8 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("# Equation (1): TP=%.0f <= min(sign %.0f, order %.0f) -> %v\n",
-				res.MeasuredTPS, res.SignBoundTPS, res.OrderBoundTPS, res.Satisfied)
+			fmt.Printf("# Equation (1): TP=%.0f <= min(sign %.0f [%.1f env/sig], order %.0f) -> %v; paper's per-block sign term %.0f\n",
+				res.MeasuredTPS, res.SignBoundTPS, res.EnvsPerSig, res.OrderBoundTPS, res.Satisfied, res.SignBoundPerBlockTPS)
 		}
 		fmt.Println()
 	}

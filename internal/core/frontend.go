@@ -86,7 +86,7 @@ type Frontend struct {
 	released int // release threshold: 2f+1 matching or f+1 verified
 	fetcher  *blockFetcher
 	peers    []transport.Addr
-	channels map[string]struct{} // non-nil when cfg.Channels restricts
+	channels map[string]struct{}  // non-nil when cfg.Channels restricts
 	metrics  *obs.FrontendMetrics // never nil: normalized at construction
 
 	mu     sync.Mutex
@@ -127,10 +127,12 @@ type feChannel struct {
 	histStart uint64
 }
 
-// blockAccum accumulates matching copies of one block.
+// blockAccum accumulates matching copies of one block: per sender, the
+// sender's signature with its inclusion path (a zero Signature when the
+// copy came unsigned).
 type blockAccum struct {
 	block    *fabric.Block
-	sigs     map[string][]byte
+	sigs     map[string]fabric.BlockSignature
 	verified int
 	released bool
 }
@@ -472,20 +474,20 @@ func (f *Frontend) onBlockCopy(sender, channel string, block *fabric.Block, sent
 	}
 	acc, ok := byDigest[digest]
 	if !ok {
-		acc = &blockAccum{block: block, sigs: make(map[string][]byte)}
+		acc = &blockAccum{block: block, sigs: make(map[string]fabric.BlockSignature)}
 		byDigest[digest] = acc
 	}
 	if _, dup := acc.sigs[sender]; dup {
 		f.mu.Unlock()
 		return // one vote per node
 	}
-	var sig []byte
+	var sig fabric.BlockSignature
 	if len(block.Signatures) > 0 && block.Signatures[0].SignerID == sender {
-		sig = block.Signatures[0].Signature
+		sig = block.Signatures[0]
 	}
 	acc.sigs[sender] = sig
-	if f.cfg.VerifySignatures && sig != nil {
-		if f.cfg.Registry.Verify(sender, digest.Bytes(), sig) {
+	if f.cfg.VerifySignatures && sig.Signature != nil {
+		if fabric.VerifySignature(f.cfg.Registry, digest, sig) {
 			acc.verified++
 		}
 	}
@@ -506,11 +508,9 @@ func (f *Frontend) onBlockCopy(sender, channel string, block *fabric.Block, sent
 		Header:    acc.block.Header,
 		Envelopes: acc.block.Envelopes,
 	}
-	for signer, s := range acc.sigs {
-		if s != nil {
-			released.Signatures = append(released.Signatures, fabric.BlockSignature{
-				SignerID: signer, Signature: s,
-			})
+	for _, s := range acc.sigs {
+		if s.Signature != nil {
+			released.Signatures = append(released.Signatures, s)
 		}
 	}
 	ch.ready[number] = released

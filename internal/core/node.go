@@ -3,10 +3,12 @@
 //
 // An OrderingNode is a BFT-SMaRt service replica that receives the totally
 // ordered stream of envelopes, demultiplexes it into per-channel block
-// cutters, seals block headers sequentially on the node thread, signs them
-// on a parallel signing pool, and pushes the signed blocks to every
-// registered frontend through a custom replier (instead of replying to the
-// submitting client).
+// cutters, and seals block headers sequentially on the node thread. Each
+// consensus decision is signed once, on the signing pool: one signature
+// over the Merkle root of the header hashes of every block the decision
+// sealed, attached to each block with that block's inclusion path. The
+// signed blocks are pushed to every registered frontend through a custom
+// replier (instead of replying to the submitting client).
 //
 // A Frontend is the HLF consenter + BFT shim pair: it relays envelopes into
 // the ordering cluster via an asynchronous BFT-SMaRt client invocation and
@@ -19,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -81,7 +84,8 @@ type NodeConfig struct {
 	// disseminated unsigned). Used by the Equation (1) ablation to measure
 	// the raw ordering rate TP_bftsmart in isolation.
 	DisableSigning bool
-	// Key signs block headers. Required unless DisableSigning is set.
+	// Key signs decision roots (see signDecision). Required unless
+	// DisableSigning is set.
 	Key *cryptoutil.KeyPair
 	// Storage, when set, makes the node durable: decided batches are
 	// write-ahead logged before block sealing, sealed blocks and consensus
@@ -216,8 +220,12 @@ type ckptMark struct {
 type NodeStats struct {
 	EnvelopesOrdered uint64
 	BlocksCut        uint64
-	BlocksSigned     uint64
-	Rollbacks        uint64
+	// BlocksSigned counts blocks that received this node's signature;
+	// Signatures counts the signatures the pool generated for them (one
+	// per decision that sealed blocks).
+	BlocksSigned uint64
+	Signatures   uint64
+	Rollbacks    uint64
 }
 
 // OrderingNode is one member of the ordering cluster. Create with NewNode,
@@ -233,6 +241,9 @@ type OrderingNode struct {
 	// Application methods run there).
 	chains  map[string]*chainState
 	history map[int64]map[string]chainSnapshot
+	// sealed collects the blocks the decision under execution seals; its
+	// end signs them all at once (signDecision).
+	sealed []sealedBlock
 
 	// Durable state (nil without storage). ledgers holds the node's
 	// persistent copy of each channel's chain; ledgerMu guards the map and
@@ -759,12 +770,16 @@ func (n *OrderingNode) Replica() *consensus.Replica { return n.replica }
 
 // Stats returns progress counters. Safe from any goroutine.
 func (n *OrderingNode) Stats() NodeStats {
-	return NodeStats{
+	st := NodeStats{
 		EnvelopesOrdered: n.statEnvelopes.Load(),
 		BlocksCut:        n.statBlocks.Load(),
 		BlocksSigned:     n.statSigned.Load(),
 		Rollbacks:        n.statRollbacks.Load(),
 	}
+	if n.signer != nil {
+		st.Signatures = n.signer.Signed()
+	}
+	return st
 }
 
 // SetByzantine installs (or, with the zero value, clears) ordering-layer
@@ -838,8 +853,9 @@ var _ consensus.Application = (*OrderingNode)(nil)
 
 // Execute receives the decided envelope batch of one consensus instance:
 // the node thread of Figure 5. Envelopes are demultiplexed per channel;
-// whenever a cutter reports a full block, the header is sealed sequentially
-// and handed to the signing pool.
+// whenever a cutter reports a full block, the header is sealed
+// sequentially. Every block the decision sealed is then handed to the
+// signing pool as one job.
 func (n *OrderingNode) Execute(seq int64, ops [][]byte) {
 	n.snapshotForRollback(seq)
 	for _, op := range ops {
@@ -857,6 +873,7 @@ func (n *OrderingNode) Execute(seq int64, ops [][]byte) {
 			n.sealBlock(channel, chain, batch)
 		}
 	}
+	n.signDecision()
 }
 
 func (n *OrderingNode) chain(channel string) *chainState {
@@ -893,12 +910,12 @@ func (n *OrderingNode) handleTTC(chain *chainState, channel string, op []byte) {
 }
 
 // sealBlock builds the next block header (sequentially - the only ordering
-// state is the previous header, exactly as Section 5.1 argues) and submits
-// it to the signing/sending pool. Persistence happens in the send drain,
-// after the node's signature attached, so the durable ledger keeps the
-// signature and fetched history is independently verifiable; during
-// decision-log replay the (already durable) block is re-persisted
-// directly instead.
+// state is the previous header, exactly as Section 5.1 argues) and queues
+// the block for the decision's signature (signDecision). Persistence
+// happens in the send drain, after the node's signature attached, so the
+// durable ledger keeps the signature and fetched history is independently
+// verifiable; during decision-log replay the (already durable) block is
+// re-persisted directly instead.
 func (n *OrderingNode) sealBlock(channel string, chain *chainState, batch [][]byte) {
 	block := fabric.NewBlock(chain.nextNumber, chain.prevHash, batch)
 	chain.nextNumber++
@@ -930,37 +947,77 @@ func (n *OrderingNode) sealBlock(channel string, chain *chainState, batch [][]by
 		}
 		return
 	}
+	n.sealed = append(n.sealed, sealedBlock{
+		channel:      channel,
+		hash:         chain.prevHash,
+		pendingBlock: pendingBlock{block: block, trace: trace},
+	})
+}
 
+// sealedBlock is a block the decision under execution sealed, waiting for
+// the decision's signature.
+type sealedBlock struct {
+	channel string
+	hash    cryptoutil.Digest // the header hash: this block's leaf
+	epoch   uint64            // the channel's send epoch at sealing
+	pendingBlock
+}
+
+// signDecision signs the blocks the decision just executed sealed, across
+// channels and in seal order, with ONE signature: the signing pool signs
+// the Merkle root of their header hashes, and each block carries the
+// signature plus its own inclusion path, so it stays verifiable on its
+// own. Execution is deterministic, so every correct node computes the
+// same root and signatures from different nodes merge per block. A
+// decision that sealed one block signs its header hash with an empty
+// path, exactly as a per-block signature. Runs on the event loop.
+func (n *OrderingNode) signDecision() {
+	if len(n.sealed) == 0 {
+		return
+	}
+	blocks := n.sealed
+	n.sealed = nil
 	// The durability gate: the token of the newest enqueued decision.
-	// The decision that sealed this block was enqueued on this same
+	// The decision that sealed these blocks was enqueued on this same
 	// event loop before Execute ran (and the decision log is FIFO), so
-	// the token's completion implies this block's decision — and every
-	// earlier one — is on disk. The send drain waits on it before the
-	// block becomes externally visible; the event loop itself never
-	// blocks on the fsync.
+	// the token's completion implies this decision — and every earlier
+	// one — is on disk. The send drain waits on it before a block
+	// becomes externally visible; the event loop itself never blocks on
+	// the fsync.
 	var gate *storage.Token
 	if n.storage != nil {
 		gate = n.storage.DecisionToken()
 	}
-	epoch := n.reserveSend(channel, block.Header.Number)
-	headerHash := block.Header.Hash()
-	signerID := string(n.ID().Addr())
+	n.sendMu.Lock()
+	for i := range blocks {
+		blocks[i].gate = gate
+		blocks[i].epoch = n.reserveSendLocked(blocks[i].channel, blocks[i].block.Header.Number)
+	}
+	n.sendMu.Unlock()
 	if n.cfg.DisableSigning {
-		n.statSigned.Add(1)
-		n.completeSend(channel, epoch, block, gate, trace)
+		n.statSigned.Add(uint64(len(blocks)))
+		n.completeDecision(blocks)
 		return
 	}
-	err := n.signer.Sign(headerHash, func(sig []byte, err error) {
+	leaves := make([]cryptoutil.Digest, len(blocks))
+	for i := range blocks {
+		leaves[i] = blocks[i].hash
+	}
+	root, paths := fabric.BatchRoot(leaves)
+	signerID := string(n.ID().Addr())
+	// An error means the pool closed during shutdown.
+	_ = n.signer.Sign(root, func(sig []byte, err error) {
 		if err != nil {
 			return
 		}
-		block.Signatures = []fabric.BlockSignature{{SignerID: signerID, Signature: sig}}
-		n.statSigned.Add(1)
-		n.completeSend(channel, epoch, block, gate, trace)
+		for i := range blocks {
+			blocks[i].block.Signatures = []fabric.BlockSignature{{
+				SignerID: signerID, Signature: sig, Path: paths[i],
+			}}
+		}
+		n.statSigned.Add(uint64(len(blocks)))
+		n.completeDecision(blocks)
 	})
-	if err != nil {
-		return // pool closed during shutdown
-	}
 }
 
 // blockTrace carries one block's stage stamps through the send drain.
@@ -1011,11 +1068,10 @@ type pendingBlock struct {
 	trace blockTrace
 }
 
-// reserveSend anchors the channel's send cursor at the first block sealed
-// in the current epoch. Runs on the event loop, in seal order.
-func (n *OrderingNode) reserveSend(channel string, number uint64) uint64 {
-	n.sendMu.Lock()
-	defer n.sendMu.Unlock()
+// reserveSendLocked anchors the channel's send cursor at the first block
+// sealed in the current epoch and returns the epoch. Runs on the event
+// loop, in seal order, with sendMu held.
+func (n *OrderingNode) reserveSendLocked(channel string, number uint64) uint64 {
 	s, ok := n.senders[channel]
 	if !ok {
 		s = &blockSender{pending: make(map[uint64]pendingBlock)}
@@ -1028,12 +1084,13 @@ func (n *OrderingNode) reserveSend(channel string, number uint64) uint64 {
 	return s.epoch
 }
 
-// completeSend hands a signed block to the sequencer; everything that is
-// now contiguous waits out its decision's durability token and is then
-// persisted AND disseminated, in block-number order. Runs on
-// signing-pool workers (or the event loop with signing disabled). The
-// drain is single-flight per channel: a worker that finds another one
-// draining just deposits its block, so the durable appends run in order,
+// completeDecision hands a signed decision's blocks to their channels'
+// sequencers, all under one sendMu hold, then drains each channel it
+// touched: everything now contiguous waits out its decision's durability
+// token and is then persisted AND disseminated, in block-number order.
+// Runs on signing-pool workers (or the event loop with signing disabled).
+// The drain is single-flight per channel: a worker that finds another one
+// draining just deposits its blocks, so the durable appends run in order,
 // off the event loop, after signing.
 //
 // The decision token is the ONLY durability gate: the paper's
@@ -1050,17 +1107,33 @@ func (n *OrderingNode) reserveSend(channel string, number uint64) uint64 {
 // the decision durable — the one this drain just waited out — is a
 // single fsync, and the block records ride whichever single-fsync wave
 // comes next.
-func (n *OrderingNode) completeSend(channel string, epoch uint64, block *fabric.Block, gate *storage.Token, trace blockTrace) {
+func (n *OrderingNode) completeDecision(blocks []sealedBlock) {
+	var touched []sealedBlock // the first live block of each channel
+	n.sendMu.Lock()
+	for _, sb := range blocks {
+		s, ok := n.senders[sb.channel]
+		if !ok || s.epoch != sb.epoch {
+			continue // the chain was rolled back or replaced since sealing
+		}
+		s.pending[sb.block.Header.Number] = sb.pendingBlock
+		if !slices.ContainsFunc(touched, func(t sealedBlock) bool { return t.channel == sb.channel }) {
+			touched = append(touched, sb)
+		}
+	}
+	n.sendMu.Unlock()
+	for _, sb := range touched {
+		n.drain(sb.channel, sb.epoch)
+	}
+}
+
+// drain sends the channel's contiguous run of deposited blocks, unless
+// another worker is already draining it (that worker picks them up).
+func (n *OrderingNode) drain(channel string, epoch uint64) {
 	n.sendMu.Lock()
 	s, ok := n.senders[channel]
-	if !ok || s.epoch != epoch {
+	if !ok || s.epoch != epoch || s.draining {
 		n.sendMu.Unlock()
-		return // the chain was rolled back or replaced since sealing
-	}
-	s.pending[block.Header.Number] = pendingBlock{block: block, gate: gate, trace: trace}
-	if s.draining {
-		n.sendMu.Unlock()
-		return // the draining worker picks this block up
+		return
 	}
 	s.draining = true
 	for {
@@ -1482,6 +1555,13 @@ func (n *OrderingNode) Rollback(seq int64) {
 		}
 		n.resetSender(channel)
 	}
+	for channel := range n.chains {
+		if _, ok := snaps[channel]; !ok {
+			// The channel first appeared in a rolled-back decision.
+			delete(n.chains, channel)
+			n.resetSender(channel)
+		}
+	}
 	for s := range n.history {
 		if s > seq {
 			delete(n.history, s)
@@ -1642,9 +1722,10 @@ func (n *OrderingNode) serveFetch(from transport.Addr, payload []byte) {
 				for _, b := range blocks {
 					if req.SigsOnly {
 						// Signature-only fetch: strip the envelopes. The
-						// header (and thus the signed digest) is untouched,
-						// so the requester can merge these signatures into
-						// its full copy by header-hash match.
+						// header and the inclusion paths (and thus the
+						// signed digests) are untouched, so the requester
+						// can merge these signatures into its full copy by
+						// header-hash match.
 						stripped := &fabric.Block{Header: b.Header, Signatures: b.Signatures}
 						resp.Blocks = append(resp.Blocks, stripped.Marshal())
 						continue

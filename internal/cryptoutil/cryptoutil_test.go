@@ -192,3 +192,39 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 		t.Fatalf("expected 8 identities, got %d", got)
 	}
 }
+
+// BenchmarkSignDigest is one ECDSA P-256 signature: the cost a node pays
+// once per consensus decision.
+func BenchmarkSignDigest(b *testing.B) {
+	kp, err := GenerateKeyPair()
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := Hash([]byte("root"))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := kp.SignDigest(d); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkVerifyDigest is one ECDSA P-256 verification.
+func BenchmarkVerifyDigest(b *testing.B) {
+	kp, err := GenerateKeyPair()
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := Hash([]byte("root"))
+	sig, err := kp.SignDigest(d)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pub := kp.Public()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if !pub.VerifyDigest(d, sig) {
+			b.Fatal("signature does not verify")
+		}
+	}
+}

@@ -20,9 +20,11 @@ type signJob struct {
 // SigningPool signs digests on a fixed set of worker goroutines. It models
 // the "signing & sending threads" of the BFT-SMaRt ordering node
 // (Figure 5 of the paper): block headers are produced sequentially by the
-// node thread and handed to the pool, which parallelizes the expensive
-// ECDSA signature generation. Figure 6 of the paper is a throughput sweep
-// over the number of workers in this pool.
+// node thread, and each consensus decision hands the pool one digest — the
+// Merkle root over the header hashes of the blocks it sealed (the header
+// hash itself when it sealed one) — so the expensive ECDSA signature
+// generation runs once per decision, off the node thread. Figure 6 of the
+// paper is a throughput sweep over the number of workers in this pool.
 type SigningPool struct {
 	key     *KeyPair
 	jobs    chan signJob

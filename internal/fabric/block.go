@@ -3,6 +3,7 @@ package fabric
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cryptoutil"
 	"repro/internal/wire"
@@ -39,17 +40,150 @@ func readHeader(r *wire.Reader) BlockHeader {
 }
 
 // Hash returns the header digest: the value chained into the next block and
-// the value ordering nodes sign. Signing the (constant-size) header rather
-// than the whole block is why signature throughput is independent of
-// envelope and block sizes (Section 6.1).
+// the leaf of the decision root ordering nodes sign (a decision that seals
+// one block signs this hash itself). Signing constant-size digests rather
+// than whole blocks is why signature throughput is independent of envelope
+// and block sizes (Section 6.1).
 func (h *BlockHeader) Hash() cryptoutil.Digest {
 	return cryptoutil.Hash(h.Marshal())
 }
 
-// BlockSignature is one ordering node's signature over the header hash.
+// BlockSignature is one ordering node's signature over a decision root: the
+// Merkle root of the header hashes of every block one consensus decision
+// sealed. Path proves this block's header hash is a leaf under that root,
+// so each block stays independently verifiable. A decision that sealed one
+// block signs the header hash directly and carries an empty Path.
 type BlockSignature struct {
 	SignerID  string
 	Signature []byte
+	Path      []PathStep
+}
+
+// PathStep is one level of an inclusion path: the sibling digest and the
+// side it sits on.
+type PathStep struct {
+	Sibling cryptoutil.Digest
+	Left    bool // the sibling is the left child
+}
+
+// maxPathLen bounds a decoded inclusion path: 32 levels cover a decision
+// of 2^32 blocks, far beyond any consensus batch.
+const maxPathLen = 32
+
+// pathStepWireSize is the encoding size of one path step: side, sibling.
+const pathStepWireSize = 1 + cryptoutil.DigestSize
+
+// innerNodePrefix starts the preimage of every inner Merkle node. Header
+// hashes are digests of a 72-byte header encoding, inner nodes of a
+// prefixed 65-byte pair, so an inner node can never pass for a leaf.
+const innerNodePrefix = 0x01
+
+func hashInner(left, right cryptoutil.Digest) cryptoutil.Digest {
+	var buf [1 + 2*cryptoutil.DigestSize]byte
+	buf[0] = innerNodePrefix
+	copy(buf[1:], left[:])
+	copy(buf[1+cryptoutil.DigestSize:], right[:])
+	return cryptoutil.Hash(buf[:])
+}
+
+// BatchRoot returns the Merkle root over leaves (in order) and each
+// leaf's inclusion path. Pairs hash left to right; an odd node out is
+// promoted to the next level unchanged, so its path skips that level.
+// One leaf is its own root with an empty path.
+func BatchRoot(leaves []cryptoutil.Digest) (cryptoutil.Digest, [][]PathStep) {
+	if len(leaves) == 0 {
+		return cryptoutil.Digest{}, nil
+	}
+	depth := bits.Len(uint(len(leaves) - 1))
+	steps := make([]PathStep, len(leaves)*depth)
+	paths := make([][]PathStep, len(leaves))
+	pos := make([]int, len(leaves))
+	for i := range leaves {
+		paths[i] = steps[i*depth : i*depth : (i+1)*depth]
+		pos[i] = i
+	}
+	level := append([]cryptoutil.Digest(nil), leaves...)
+	for len(level) > 1 {
+		for i, p := range pos {
+			switch {
+			case p%2 == 1:
+				paths[i] = append(paths[i], PathStep{Sibling: level[p-1], Left: true})
+			case p+1 < len(level):
+				paths[i] = append(paths[i], PathStep{Sibling: level[p+1]})
+			}
+			pos[i] = p / 2
+		}
+		next := level[:0]
+		for j := 0; j < len(level); j += 2 {
+			if j+1 < len(level) {
+				next = append(next, hashInner(level[j], level[j+1]))
+			} else {
+				next = append(next, level[j])
+			}
+		}
+		level = next
+	}
+	return level[0], paths
+}
+
+// rootFromPath folds an inclusion path into a leaf and returns the root it
+// proves the leaf sits under.
+func rootFromPath(leaf cryptoutil.Digest, path []PathStep) cryptoutil.Digest {
+	for _, step := range path {
+		if step.Left {
+			leaf = hashInner(step.Sibling, leaf)
+		} else {
+			leaf = hashInner(leaf, step.Sibling)
+		}
+	}
+	return leaf
+}
+
+// SignedDigest returns the digest s signs for a block whose header hashes
+// to headerHash: the decision root its path leads to.
+func (s BlockSignature) SignedDigest(headerHash cryptoutil.Digest) cryptoutil.Digest {
+	return rootFromPath(headerHash, s.Path)
+}
+
+// VerifySignature reports whether s is a valid signature by s.SignerID
+// over the decision root that s.Path proves the block with header hash
+// headerHash belongs to. It is the one signature check every consumer of
+// ordering-node signatures goes through.
+func VerifySignature(registry *cryptoutil.Registry, headerHash cryptoutil.Digest, s BlockSignature) bool {
+	digest := s.SignedDigest(headerHash)
+	return registry.Verify(s.SignerID, digest[:], s.Signature)
+}
+
+// SignatureVerifier is VerifySignature with a memo: each distinct
+// (signer, signed digest, signature) is checked once, so a range of blocks
+// sealed by one decision costs one ECDSA verification per signer. Not safe
+// for concurrent use.
+type SignatureVerifier struct {
+	registry *cryptoutil.Registry
+	checked  map[sigKey]bool
+}
+
+type sigKey struct {
+	signer string
+	digest cryptoutil.Digest
+	sig    string
+}
+
+// NewSignatureVerifier returns an empty memo over registry.
+func NewSignatureVerifier(registry *cryptoutil.Registry) *SignatureVerifier {
+	return &SignatureVerifier{registry: registry, checked: make(map[sigKey]bool)}
+}
+
+// Verify is VerifySignature, answered from the memo when the same
+// signature over the same root was checked before.
+func (v *SignatureVerifier) Verify(headerHash cryptoutil.Digest, s BlockSignature) bool {
+	key := sigKey{signer: s.SignerID, digest: s.SignedDigest(headerHash), sig: string(s.Signature)}
+	ok, seen := v.checked[key]
+	if !seen {
+		ok = v.registry.Verify(s.SignerID, key.digest[:], s.Signature)
+		v.checked[key] = ok
+	}
+	return ok
 }
 
 // Block is the unit appended to a channel's chain: a header, the ordered
@@ -86,15 +220,37 @@ func (b *Block) MarshaledSize() int {
 	for _, e := range b.Envelopes {
 		size += len(e) + 4
 	}
+	paths := b.hasPaths()
 	for _, s := range b.Signatures {
 		size += len(s.SignerID) + len(s.Signature) + 8
+		if paths {
+			size += 1 + len(s.Path)*pathStepWireSize
+		}
 	}
 	return size
+}
+
+// hasPaths reports whether any signature carries an inclusion path, i.e.
+// whether the encoding needs its trailing path section.
+func (b *Block) hasPaths() bool {
+	for _, s := range b.Signatures {
+		if len(s.Path) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // MarshalInto appends the block's encoding to an existing writer. The
 // storage layer uses it to frame block records in pooled buffers without
 // an intermediate allocation per put.
+//
+// Inclusion paths follow the signature list as an optional trailing
+// section (one path per signature, in order), written only when some
+// signature has one, so a block whose signatures are all pathless keeps
+// the legacy encoding that durable chains and older readers hold. Every
+// block encoding is length-framed by its container, so the decoder
+// detects the section by leftover bytes.
 func (b *Block) MarshalInto(w *wire.Writer) {
 	w.PutUint64(b.Header.Number)
 	w.PutRaw(b.Header.PrevHash[:])
@@ -104,6 +260,20 @@ func (b *Block) MarshalInto(w *wire.Writer) {
 	for _, s := range b.Signatures {
 		w.PutString(s.SignerID)
 		w.PutBytes(s.Signature)
+	}
+	if !b.hasPaths() {
+		return
+	}
+	for _, s := range b.Signatures {
+		w.PutUvarint(uint64(len(s.Path)))
+		for _, step := range s.Path {
+			var side byte
+			if step.Left {
+				side = 1
+			}
+			w.PutByte(side)
+			w.PutRaw(step.Sibling[:])
+		}
 	}
 }
 
@@ -132,10 +302,41 @@ func UnmarshalBlock(raw []byte) (*Block, error) {
 			Signature: r.BytesCopy(),
 		})
 	}
+	if r.Err() == nil && r.Remaining() > 0 {
+		if err := readPaths(r, b.Signatures); err != nil {
+			return nil, err
+		}
+	}
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("block: %w", err)
 	}
 	return b, nil
+}
+
+// readPaths decodes the trailing path section into sigs.
+func readPaths(r *wire.Reader, sigs []BlockSignature) error {
+	for i := range sigs {
+		n := r.Uvarint()
+		if n > maxPathLen {
+			return fmt.Errorf("block: inclusion path of %d steps exceeds %d", n, maxPathLen)
+		}
+		if n == 0 {
+			continue
+		}
+		path := make([]PathStep, n)
+		for j := range path {
+			switch side := r.Byte(); side {
+			case 0: // a truncated read lands here too; Finish reports it
+			case 1:
+				path[j].Left = true
+			default:
+				return fmt.Errorf("block: inclusion path side 0x%02x", side)
+			}
+			copy(path[j].Sibling[:], r.Raw(cryptoutil.DigestSize))
+		}
+		sigs[i].Path = path
+	}
+	return nil
 }
 
 // CheckIntegrity verifies that the data hash matches the envelopes.
@@ -146,9 +347,9 @@ func (b *Block) CheckIntegrity() error {
 	return nil
 }
 
-// VerifySignatures counts how many of the block's signatures verify against
-// the registry. Frontends configured for verification accept a block once
-// f+1 signatures check out (footnote 8 of the paper).
+// VerifySignatures counts how many distinct signers' signatures verify
+// against the registry. Frontends configured for verification accept a
+// block once f+1 signatures check out (footnote 8 of the paper).
 func (b *Block) VerifySignatures(registry *cryptoutil.Registry) int {
 	digest := b.Header.Hash()
 	valid := 0
@@ -158,7 +359,7 @@ func (b *Block) VerifySignatures(registry *cryptoutil.Registry) int {
 			continue
 		}
 		seen[s.SignerID] = true
-		if registry.Verify(s.SignerID, digest.Bytes(), s.Signature) {
+		if VerifySignature(registry, digest, s) {
 			valid++
 		}
 	}
