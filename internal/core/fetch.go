@@ -489,10 +489,6 @@ func (bf *blockFetcher) FetchRangeVerified(done <-chan struct{}, peers []transpo
 		need = 0
 	}
 	pruned := newPrunedTally(f)
-	// One memo for the whole range: the blocks one decision sealed share
-	// each signer's signature over the decision root, so it is checked
-	// once per signer, not once per block.
-	verifier := fabric.NewSignatureVerifier(registry)
 	var candidates []*rangeCandidate
 	var lastErr error = ErrFetchFailed
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
@@ -521,7 +517,7 @@ func (bf *blockFetcher) FetchRangeVerified(done <-chan struct{}, peers []transpo
 		if cand == nil {
 			cand = &rangeCandidate{blocks: blocks, short: len(blocks)}
 			for _, b := range blocks {
-				signers := countVerified(verifier, b, b)
+				signers := countVerified(registry, b, b)
 				cand.verified = append(cand.verified, signers)
 				if len(signers) >= need {
 					cand.short--
@@ -538,7 +534,7 @@ func (bf *blockFetcher) FetchRangeVerified(done <-chan struct{}, peers []transpo
 					continue // diverging copy: its signatures prove nothing here
 				}
 				before := len(cand.verified[i])
-				mergeVerified(verifier, b, blocks[i], cand.verified[i])
+				mergeVerified(registry, b, blocks[i], cand.verified[i])
 				if before < need && len(cand.verified[i]) >= need {
 					cand.short--
 				}
@@ -588,7 +584,7 @@ func (bf *blockFetcher) FetchRangeVerified(done <-chan struct{}, peers []transpo
 						continue
 					}
 					before := len(cand.verified[i])
-					mergeVerified(verifier, b, sigBlocks[i], cand.verified[i])
+					mergeVerified(registry, b, sigBlocks[i], cand.verified[i])
 					if before < need && len(cand.verified[i]) >= need {
 						cand.short--
 					}
@@ -653,22 +649,22 @@ var ErrUnverifiedRange = errors.New("core: fetched range lacks f+1 signatures")
 
 // countVerified returns the set of distinct signers of src whose
 // signatures over dst's header verify, merging into a fresh set.
-func countVerified(verifier *fabric.SignatureVerifier, dst, src *fabric.Block) map[string]bool {
+func countVerified(registry *cryptoutil.Registry, dst, src *fabric.Block) map[string]bool {
 	signers := make(map[string]bool)
-	mergeVerified(verifier, dst, src, signers)
+	mergeVerified(registry, dst, src, signers)
 	return signers
 }
 
 // mergeVerified adds src's valid signatures over dst's header to the
 // signer set, appending newly seen ones to dst so the caller hands on a
 // block that carries its own proof.
-func mergeVerified(verifier *fabric.SignatureVerifier, dst, src *fabric.Block, signers map[string]bool) {
+func mergeVerified(registry *cryptoutil.Registry, dst, src *fabric.Block, signers map[string]bool) {
 	digest := dst.Header.Hash()
 	for _, sig := range src.Signatures {
 		if signers[sig.SignerID] {
 			continue
 		}
-		if !verifier.Verify(digest, sig) {
+		if !fabric.VerifySignature(registry, digest, sig) {
 			continue
 		}
 		signers[sig.SignerID] = true

@@ -154,38 +154,6 @@ func VerifySignature(registry *cryptoutil.Registry, headerHash cryptoutil.Digest
 	return registry.Verify(s.SignerID, digest[:], s.Signature)
 }
 
-// SignatureVerifier is VerifySignature with a memo: each distinct
-// (signer, signed digest, signature) is checked once, so a range of blocks
-// sealed by one decision costs one ECDSA verification per signer. Not safe
-// for concurrent use.
-type SignatureVerifier struct {
-	registry *cryptoutil.Registry
-	checked  map[sigKey]bool
-}
-
-type sigKey struct {
-	signer string
-	digest cryptoutil.Digest
-	sig    string
-}
-
-// NewSignatureVerifier returns an empty memo over registry.
-func NewSignatureVerifier(registry *cryptoutil.Registry) *SignatureVerifier {
-	return &SignatureVerifier{registry: registry, checked: make(map[sigKey]bool)}
-}
-
-// Verify is VerifySignature, answered from the memo when the same
-// signature over the same root was checked before.
-func (v *SignatureVerifier) Verify(headerHash cryptoutil.Digest, s BlockSignature) bool {
-	key := sigKey{signer: s.SignerID, digest: s.SignedDigest(headerHash), sig: string(s.Signature)}
-	ok, seen := v.checked[key]
-	if !seen {
-		ok = v.registry.Verify(s.SignerID, key.digest[:], s.Signature)
-		v.checked[key] = ok
-	}
-	return ok
-}
-
 // Block is the unit appended to a channel's chain: a header, the ordered
 // envelopes, and the ordering nodes' signatures.
 type Block struct {
